@@ -14,6 +14,7 @@ pages, but recovery observable behaviour is the same).
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Iterator, Optional
 
 from repro.errors import DuplicateKeyError
@@ -36,12 +37,12 @@ def encode_value(value) -> tuple:
     if isinstance(value, str):
         return (2, value)
     if isinstance(value, (tuple, list)):
-        return (3, tuple(encode_value(v) for v in value))
+        return (3, tuple(map(encode_value, value)))
     raise TypeError(f"unindexable value {value!r}")
 
 
 def encode_key(values: tuple) -> tuple:
-    return tuple(encode_value(v) for v in values)
+    return tuple(map(encode_value, values))
 
 
 class _Leaf:
@@ -145,19 +146,27 @@ class BTree:
         # Bounds are prefixes: a bound covering only leading columns
         # compares against the same-length prefix of each key (SQL range
         # semantics: ``a > 5`` excludes every key whose first column is 5).
-        leaf = self._leaf_for(elo) if elo is not None else self._leftmost()
+        # A prefix bound extended by INFINITY_KEY sorts after every key
+        # with that prefix, so each bound becomes one plain key
+        # comparison: scan from the first key >= ``start`` (bisected in
+        # the first leaf) and stop at the first key >= ``stop``.
+        if elo is None:
+            leaf, index = self._leftmost(), 0
+        else:
+            start = elo if lo_inclusive else elo + INFINITY_KEY
+            leaf = self._leaf_for(start)
+            index = bisect.bisect_left(leaf.entries, (start,))
+        stop = None
+        if ehi is not None:
+            stop = ehi + INFINITY_KEY if hi_inclusive else ehi
         while leaf is not None:
-            for ekey, rid in leaf.entries:
-                if elo is not None:
-                    prefix = ekey[: len(elo)]
-                    if prefix < elo or (prefix == elo and not lo_inclusive):
-                        continue
-                if ehi is not None:
-                    prefix = ekey[: len(ehi)]
-                    if prefix > ehi or (prefix == ehi and not hi_inclusive):
-                        return
-                yield ekey, rid
-            leaf = leaf.next
+            # islice over the live list keeps list-iterator semantics if
+            # the leaf changes while the scan is suspended.
+            for entry in itertools.islice(leaf.entries, index, None):
+                if stop is not None and entry[0] >= stop:
+                    return
+                yield entry
+            leaf, index = leaf.next, 0
 
     def _leftmost(self) -> _Leaf:
         node = self._root

@@ -34,7 +34,6 @@ class TimingModel:
     compile_cpu: float = 0.0
     page_io: float = 0.004
     log_force: float = 0.006
-    lock_op: float = 0.00002
     rpc: float = 0.002
     #: Per-entry secondary-index maintenance (DB2 logs index pages; our
     #: indexes are memory-resident, so this models that write cost).

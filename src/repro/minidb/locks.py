@@ -38,47 +38,41 @@ class LockMode(enum.IntEnum):
 
 
 _M = LockMode
-#: COMPAT[a][b] — may a be held concurrently with b?
+#: _COMPAT[a][b] — may a be held concurrently with b? Indexed by mode.
 #: U coexists with readers (S/IS) but not with another U/IX/X — the
 #: classic remedy for S→X conversion deadlocks on update scans.
-_COMPAT = {
-    _M.IS:  {_M.IS: True,  _M.IX: True,  _M.S: True,  _M.U: True,
-             _M.SIX: True,  _M.X: False},
-    _M.IX:  {_M.IS: True,  _M.IX: True,  _M.S: False, _M.U: False,
-             _M.SIX: False, _M.X: False},
-    _M.S:   {_M.IS: True,  _M.IX: False, _M.S: True,  _M.U: True,
-             _M.SIX: False, _M.X: False},
-    _M.U:   {_M.IS: True,  _M.IX: False, _M.S: True,  _M.U: False,
-             _M.SIX: False, _M.X: False},
-    _M.SIX: {_M.IS: True,  _M.IX: False, _M.S: False, _M.U: False,
-             _M.SIX: False, _M.X: False},
-    _M.X:   {_M.IS: False, _M.IX: False, _M.S: False, _M.U: False,
-             _M.SIX: False, _M.X: False},
-}
-#: Least upper bound in the lock lattice (for conversions).
-_SUP = {
-    frozenset({_M.IS, _M.IS}): _M.IS,
-    frozenset({_M.IS, _M.IX}): _M.IX,
-    frozenset({_M.IS, _M.S}): _M.S,
-    frozenset({_M.IS, _M.U}): _M.U,
-    frozenset({_M.IS, _M.SIX}): _M.SIX,
-    frozenset({_M.IS, _M.X}): _M.X,
-    frozenset({_M.IX, _M.IX}): _M.IX,
-    frozenset({_M.IX, _M.S}): _M.SIX,
-    frozenset({_M.IX, _M.U}): _M.X,
-    frozenset({_M.IX, _M.SIX}): _M.SIX,
-    frozenset({_M.IX, _M.X}): _M.X,
-    frozenset({_M.S, _M.S}): _M.S,
-    frozenset({_M.S, _M.U}): _M.U,
-    frozenset({_M.S, _M.SIX}): _M.SIX,
-    frozenset({_M.S, _M.X}): _M.X,
-    frozenset({_M.U, _M.U}): _M.U,
-    frozenset({_M.U, _M.SIX}): _M.X,
-    frozenset({_M.U, _M.X}): _M.X,
-    frozenset({_M.SIX, _M.SIX}): _M.SIX,
-    frozenset({_M.SIX, _M.X}): _M.X,
-    frozenset({_M.X, _M.X}): _M.X,
-}
+_COMPAT = (
+    # IS     IX     S      U      SIX    X
+    (True,  True,  True,  True,  True,  False),  # IS
+    (True,  True,  False, False, False, False),  # IX
+    (True,  False, True,  True,  False, False),  # S
+    (True,  False, True,  False, False, False),  # U
+    (True,  False, False, False, False, False),  # SIX
+    (False, False, False, False, False, False),  # X
+)
+#: _SUP[a][b] — least upper bound in the lock lattice (for conversions).
+_SUP = (
+    # IS      IX      S       U       SIX     X
+    (_M.IS,  _M.IX,  _M.S,   _M.U,   _M.SIX, _M.X),  # IS
+    (_M.IX,  _M.IX,  _M.SIX, _M.X,   _M.SIX, _M.X),  # IX
+    (_M.S,   _M.SIX, _M.S,   _M.U,   _M.SIX, _M.X),  # S
+    (_M.U,   _M.X,   _M.U,   _M.U,   _M.X,   _M.X),  # U
+    (_M.SIX, _M.SIX, _M.SIX, _M.X,   _M.SIX, _M.X),  # SIX
+    (_M.X,   _M.X,   _M.X,   _M.X,   _M.X,   _M.X),  # X
+)
+#: _COVERS[table][row] — does a table lock make a row/key lock redundant?
+_COVERS = (
+    # IS     IX     S      U      SIX    X
+    (False, False, False, False, False, False),  # IS
+    (False, False, False, False, False, False),  # IX
+    (True,  False, True,  False, False, False),  # S
+    (False, False, False, False, False, False),  # U
+    (True,  False, True,  False, False, False),  # SIX
+    (True,  True,  True,  True,  True,  True),   # X
+)
+#: _INTENT[row] — the table intent a row/key lock needs (U intends to
+#: write, so it takes IX).
+_INTENT = (_M.IS, _M.IX, _M.IS, _M.IX, _M.IX, _M.IX)
 
 
 def compatible(a: LockMode, b: LockMode) -> bool:
@@ -86,21 +80,13 @@ def compatible(a: LockMode, b: LockMode) -> bool:
 
 
 def supremum(a: LockMode, b: LockMode) -> LockMode:
-    return _SUP[frozenset({a, b})]
+    return _SUP[a][b]
 
 
 #: Lock resources. ``table`` granularity:   ("table", tname)
 #:                 ``row``   granularity:   ("row", tname, rid)
 #:                 ``key``   granularity:   ("key", tname, index, ekey)
 Resource = tuple
-
-
-def resource_table(resource: Resource) -> str:
-    return resource[1]
-
-
-def is_table_resource(resource: Resource) -> bool:
-    return resource[0] == "table"
 
 
 class _Request:
@@ -180,43 +166,71 @@ class LockManager:
                 raise DeadlockError(
                     f"txn {txn.id} injected deadlock victim on {resource!r}")
 
-        if not is_table_resource(resource):
-            table = resource_table(resource)
-            covering = self._table_mode(txn, table)
-            if covering is not None and self._covers(covering, mode):
+        if resource[0] != "table":
+            table = resource[1]
+            table_resource = ("table", table)
+            table_head = self.heads.get(table_resource)
+            held = (table_head.holders.get(txn.id)
+                    if table_head is not None else None)
+            if held is not None and _COVERS[held][mode]:
                 return False  # an escalated table lock already covers this
             # Multi-granularity protocol: row/key locks are always preceded
             # by the matching intent lock on the table, so an escalated
             # table lock held by someone else blocks us here.
-            intent = (LockMode.IS if mode in (LockMode.S, LockMode.IS)
-                      else LockMode.IX)  # U intends to write → IX
-            yield from self._acquire_raw(txn, ("table", table), intent,
-                                         timeout)
+            intent = _INTENT[mode]
+            if self._try_grant(txn, table_resource, intent) is None:
+                yield from self._wait(txn, table_resource, intent, timeout)
             if self._should_escalate(txn, table):
                 yield from self._escalate(txn, table, mode)
                 return False
-        newly = yield from self._acquire_raw(txn, resource, mode, timeout)
+        newly = self._try_grant(txn, resource, mode)
+        if newly is None:
+            newly = yield from self._wait(txn, resource, mode, timeout)
         return newly
 
-    def _acquire_raw(self, txn, resource: Resource, mode: LockMode,
-                     timeout: Optional[float] = None):
+    def _try_grant(self, txn, resource: Resource,
+                   mode: LockMode) -> Optional[bool]:
+        """Grant ``mode`` at once when no wait is needed.
+
+        Returns True when a new entry was created, False when the held
+        mode already sufficed or was converted in place, and None when
+        the request must queue (then nothing has changed).
+        """
         head = self.heads.get(resource)
-        if head is None:
+        if head is None:  # uncontended: the first holder of the resource
             head = self.heads[resource] = _LockHead(resource)
+            self._grant(head, txn, mode, new=True)
+            return True
+        txn_id = txn.id
+        held = head.holders.get(txn_id)
+        if held is None:
+            # FIFO fairness: a fresh request must not overtake waiters.
+            for queued in head.queue:
+                if queued.txn.id != txn_id:
+                    return None
+            desired = mode
+        else:
+            desired = _SUP[held][mode]
+            if desired == held:
+                return False  # already strong enough
+        compat = _COMPAT[desired]
+        for other_id, other_mode in head.holders.items():
+            if other_id != txn_id and not compat[other_mode]:
+                return None
+        self._grant(head, txn, desired, new=held is None)
+        return held is None
+
+    def _wait(self, txn, resource: Resource, mode: LockMode,
+              timeout: Optional[float]):
+        """Generator: queue a request :meth:`_try_grant` refused and block
+        until it is granted (returns whether the entry is new), times out
+        or is chosen as a deadlock victim."""
+        head = self.heads[resource]
         held = head.holders.get(txn.id)
-        if held is not None and supremum(held, mode) == held:
-            return False  # already strong enough
-        desired = supremum(held, mode) if held is not None else mode
-        is_conversion = held is not None
-
-        if self._grantable(head, txn, desired, is_conversion):
-            self._grant(head, txn, desired, new=held is None)
-            return held is None
-
-        # Must wait.
+        desired = _SUP[held][mode] if held is not None else mode
         self.metrics.waits += 1
         event = Event(self.sim, name=f"lock:{resource!r}:{txn.id}")
-        request = _Request(txn, mode, desired, event, is_conversion)
+        request = _Request(txn, mode, desired, event, held is not None)
         head.queue.append(request)
         self._waiting[txn.id] = (resource, request, txn)
         self._arm_detector()
@@ -243,37 +257,27 @@ class LockManager:
             span.set(outcome="granted")
             return outcome[1]
 
-    def _grantable(self, head: _LockHead, txn, desired: LockMode,
-                   is_conversion: bool) -> bool:
-        for other_id, other_mode in head.holders.items():
-            if other_id != txn.id and not compatible(desired, other_mode):
-                return False
-        if not is_conversion:
-            # FIFO fairness: a fresh request must not overtake waiters.
-            for queued in head.queue:
-                if queued.txn.id != txn.id:
-                    return False
-        return True
-
     def _grant(self, head: _LockHead, txn, desired: LockMode, new: bool) -> None:
         head.holders[txn.id] = desired
         if new:
-            txn.note_lock(head.resource, self)
+            txn.note_lock(head.resource)
             self._total_locks += 1
-            self.metrics.peak_locks = max(self.metrics.peak_locks,
-                                          self._total_locks)
+            if self._total_locks > self.metrics.peak_locks:
+                self.metrics.peak_locks = self._total_locks
 
     # ------------------------------------------------------------------ release
 
     def release(self, txn, resource: Resource) -> None:
         """Early release of a single lock (cursor-stability reads)."""
         head = self.heads.get(resource)
-        if head is None or txn.id not in head.holders:
+        if head is None or head.holders.pop(txn.id, None) is None:
             return
-        del head.holders[txn.id]
         txn.forget_lock(resource)
         self._total_locks -= 1
-        self._wake_waiters(head)
+        if head.queue:
+            self._wake_waiters(head)
+        elif not head.holders:
+            del self.heads[resource]
 
     def release_all(self, txn) -> None:
         """End-of-transaction release (strict 2PL)."""
@@ -281,10 +285,12 @@ class LockManager:
         affected = []
         for resource in resources:
             head = self.heads.get(resource)
-            if head is not None and txn.id in head.holders:
-                del head.holders[txn.id]
+            if head is not None and head.holders.pop(txn.id, None) is not None:
                 self._total_locks -= 1
-                affected.append(head)
+                if head.queue:
+                    affected.append(head)
+                elif not head.holders:
+                    del self.heads[resource]
         for head in affected:
             self._wake_waiters(head)
 
@@ -327,34 +333,18 @@ class LockManager:
 
     # ------------------------------------------------------------------ escalation
 
-    def _table_mode(self, txn, table: str) -> Optional[LockMode]:
-        head = self.heads.get(("table", table))
-        if head is None:
-            return None
-        return head.holders.get(txn.id)
-
-    @staticmethod
-    def _covers(table_mode: LockMode, row_mode: LockMode) -> bool:
-        if table_mode == LockMode.X:
-            return True
-        if table_mode in (LockMode.S, LockMode.SIX):
-            return row_mode in (LockMode.S, LockMode.IS)
-        return False
-
     def _should_escalate(self, txn, table: str) -> bool:
-        if not self.config.lock_escalation:
-            if self._total_locks + 1 > self.config.locklist_size:
-                txn.mark_rollback_only()
-                raise TransactionAborted(
-                    f"locklist exhausted ({self.config.locklist_size}) and "
-                    "lock escalation is disabled", reason="locklist")
-            return False
-        threshold = self.config.maxlocks_fraction * self.config.locklist_size
-        if txn.row_lock_count(table) + 1 > threshold:
-            return True
-        if self._total_locks + 1 > self.config.locklist_size:
-            return True
-        return False
+        config = self.config
+        if self._total_locks >= config.locklist_size:  # locklist is full
+            if config.lock_escalation:
+                return True
+            txn.mark_rollback_only()
+            raise TransactionAborted(
+                f"locklist exhausted ({config.locklist_size}) and "
+                "lock escalation is disabled", reason="locklist")
+        return config.lock_escalation and (
+            txn.row_lock_count(table) + 1
+            > config.maxlocks_fraction * config.locklist_size)
 
     def _escalate(self, txn, table: str, pending_mode: LockMode):
         """Trade row/key locks on ``table`` for one table lock."""
@@ -366,7 +356,8 @@ class LockManager:
                 for res in txn.row_locks(table) if res in self.heads)
         target = LockMode.X if wants_x else LockMode.S
         try:
-            yield from self._acquire_raw(txn, ("table", table), target)
+            if self._try_grant(txn, ("table", table), target) is None:
+                yield from self._wait(txn, ("table", table), target, None)
         except TransactionAborted:
             self.metrics.escalation_failures += 1
             raise
@@ -467,14 +458,13 @@ class LockManager:
         """Grant without queuing — restart recovery reacquiring the write
         locks of a prepared (indoubt) transaction, before any new work is
         admitted, so contention is impossible by construction."""
-        if not is_table_resource(resource):
-            self.force_grant(txn, ("table", resource_table(resource)),
-                             LockMode.IX)
+        if resource[0] != "table":
+            self.force_grant(txn, ("table", resource[1]), LockMode.IX)
         head = self.heads.get(resource)
         if head is None:
             head = self.heads[resource] = _LockHead(resource)
         held = head.holders.get(txn.id)
-        desired = supremum(held, mode) if held is not None else mode
+        desired = _SUP[held][mode] if held is not None else mode
         self._grant(head, txn, desired, new=held is None)
 
     # ------------------------------------------------------------------ inspection

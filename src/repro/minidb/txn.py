@@ -7,7 +7,7 @@ import itertools
 from typing import Optional
 
 from repro.errors import TransactionAborted
-from repro.minidb.locks import Resource, is_table_resource, resource_table
+from repro.minidb.locks import Resource
 
 
 class TxnState(enum.Enum):
@@ -63,16 +63,18 @@ class Transaction:
 
     # -- lock bookkeeping (called by LockManager) ----------------------------------
 
-    def note_lock(self, resource: Resource, _mgr) -> None:
+    def note_lock(self, resource: Resource) -> None:
         self._locks[resource] = None
-        if not is_table_resource(resource):
-            self._row_locks.setdefault(resource_table(resource),
-                                       set()).add(resource)
+        if resource[0] != "table":
+            rows = self._row_locks.get(resource[1])
+            if rows is None:
+                rows = self._row_locks[resource[1]] = set()
+            rows.add(resource)
 
     def forget_lock(self, resource: Resource) -> None:
         self._locks.pop(resource, None)
-        if not is_table_resource(resource):
-            rows = self._row_locks.get(resource_table(resource))
+        if resource[0] != "table":
+            rows = self._row_locks.get(resource[1])
             if rows is not None:
                 rows.discard(resource)
 

@@ -233,3 +233,97 @@ def test_bulk_load_replaces_prior_contents():
     assert tree.search_eq(("old",)) == []
     assert tree.search_eq(("new",)) == [(0, 0)]
     assert len(tree) == 1
+
+
+# ------------------------------------------------------------- bounded scans
+
+#: Few distinct values per column, NULLs and mixed int/str: long runs of
+#: equal keys and prefixes, which at order 4-5 span several leaves.
+column_value = st.sampled_from([None, 0, 1, 2, "a", "b"])
+two_column_key = st.tuples(column_value, column_value)
+prefix_bound = st.one_of(
+    st.none(),
+    st.tuples(st.lists(column_value, min_size=1, max_size=2).map(tuple),
+              st.booleans()))
+
+
+def _in_bounds(ekey, lo, hi) -> bool:
+    """The reference: bounds compare with the same-length key prefix."""
+    if lo is not None:
+        elo, inclusive = encode_key(lo[0]), lo[1]
+        prefix = ekey[:len(elo)]
+        if prefix < elo or (prefix == elo and not inclusive):
+            return False
+    if hi is not None:
+        ehi, inclusive = encode_key(hi[0]), hi[1]
+        prefix = ekey[:len(ehi)]
+        if prefix > ehi or (prefix == ehi and not inclusive):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=st.lists(two_column_key, min_size=1, max_size=120),
+       deletes=st.lists(st.integers(min_value=0, max_value=119),
+                        max_size=40),
+       order=st.integers(min_value=4, max_value=5),
+       bounds=st.lists(st.tuples(prefix_bound, prefix_bound), min_size=1,
+                       max_size=8))
+def test_property_bounded_scans_match_sorted_reference(keys, deletes, order,
+                                                       bounds):
+    tree = BTree("idx", "t", ("a", "b"), unique=False, order=order)
+    model = {}
+    for i, key in enumerate(keys):
+        tree.insert(key, (i, 0))
+        model[(i, 0)] = key
+    for i in deletes:
+        if (i, 0) in model:       # deletes leave sparse and empty leaves
+            assert tree.delete(model.pop((i, 0)), (i, 0)) is True
+    reference = sorted((encode_key(key), rid) for rid, key in model.items())
+
+    assert list(tree.scan_range(None, True, None, True)) == reference
+    for lo, hi in bounds:
+        expected = [entry for entry in reference
+                    if _in_bounds(entry[0], lo, hi)]
+        actual = list(tree.scan_range(lo and lo[0], bool(lo and lo[1]),
+                                      hi and hi[0], bool(hi and hi[1])))
+        assert actual == expected, (lo, hi)
+        for bound in (lo, hi):
+            if bound is None:
+                continue
+            values = bound[0]
+            ebound = encode_key(values)
+            after = [k for k, _ in reference if k[:len(ebound)] > ebound]
+            assert tree.next_key_after(values) == (
+                after[0] if after else INFINITY_KEY)
+    for key in set(keys):
+        assert tree.search_eq(key) == [rid for ekey, rid in reference
+                                       if ekey == encode_key(key)]
+
+
+def test_unique_index_sees_duplicate_in_next_leaf():
+    """A search key equal to a separator descends left, so its only
+    equal entry can be the first one of the next leaf."""
+    tree = BTree("idx", "t", ("a", "b"), unique=True, order=4)
+    for i in range(5):
+        tree.insert((i, "x"), (i, 0))
+    assert tree.nlevels == 2
+    first_of_right = tree._root.children[1].entries[0][0]
+    assert tree._root.keys == [first_of_right]
+    with pytest.raises(DuplicateKeyError):
+        tree.insert((2, "x"), (9, 0))
+    assert len(tree) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(two_column_key, min_size=1, max_size=36),
+       st.integers(min_value=4, max_value=5))
+def test_property_unique_index_rejects_every_duplicate(keys, order):
+    tree = BTree("idx", "t", ("a", "b"), unique=True, order=order)
+    keys = list(keys)
+    for i, key in enumerate(keys):
+        tree.insert(key, (i, 0))
+    for key in keys:
+        with pytest.raises(DuplicateKeyError):
+            tree.insert(key, (99, 0))
+    assert len(tree) == len(keys)

@@ -150,7 +150,7 @@ def test_create_index_during_bulk_sees_heap_rows(sim):
 def test_end_bulk_load_charges_discounted_index_time(sim):
     from repro.minidb.config import TimingModel
     timing = TimingModel(enabled=True, cpu_per_statement=0.0, page_io=0.0,
-                         lock_op=0.0, rpc=0.0, log_force=0.0,
+                         rpc=0.0, log_force=0.0,
                          index_entry=0.01, bulk_index_factor=0.1)
     db = make_db(sim, timing=timing)
     db.begin_bulk_load("t")

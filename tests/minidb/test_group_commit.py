@@ -110,7 +110,7 @@ def test_group_commit_charges_one_force_latency():
     sim = Simulator()
     db = make_db(sim, group_commit_window=0.02,
                  timing=TimingModel(enabled=True, cpu_per_statement=0.0,
-                                    page_io=0.0, lock_op=0.0, rpc=0.0,
+                                    page_io=0.0, rpc=0.0,
                                     log_force=0.006))
     started = sim.now
 
