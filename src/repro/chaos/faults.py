@@ -57,6 +57,15 @@ point                      kinds                     wired into
                                                      not yet gathered;
                                                      crash node is the
                                                      host database
+``twopc.forget:<db>``      crash                     coordinator forget of
+                                                     a fully-acknowledged
+                                                     decision appended but
+                                                     left unforced (lazy
+                                                     presumed-abort end
+                                                     record): the crash
+                                                     loses it and the
+                                                     in-doubt resolver
+                                                     re-drives the Commit
 ``shard.move:<step>``      crash                     online rebalancing
                                                      (repro.shard): after
                                                      ``exported`` (source
@@ -379,6 +388,11 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultRule("twopc.fanout:phase2", "delay", prob=0.05,
                   max_fires=None, delay=0.25),
         FaultRule("twopc.fanout:phase2", "crash", prob=0.01, max_fires=1),
+        # Lazy forget: crash the coordinator right after it forgot a
+        # fully-acknowledged decision without forcing the log. The
+        # decision survives the crash and the in-doubt re-drive must find
+        # every participant already finished.
+        FaultRule("twopc.forget:host-*", "crash", prob=0.01, max_fires=1),
         # Rebalance crash points (sharded campaigns only — the points
         # are never reached unsharded, so the rule's RNG stream is never
         # created and existing seeds keep their schedules byte-for-byte).

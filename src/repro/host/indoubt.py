@@ -42,10 +42,10 @@ def resolve_indoubts(host):
     doubt together, and re-driving them serially would stretch recovery
     by a round-trip per pair. A transaction is forgotten — ONE
     ``DELETE ... WHERE txn_id = ?`` covering all its decision rows, one
-    FORGET record for a piggybacked decision — only when every one of
-    its participants acknowledged; partially-acked transactions keep
-    their decision intact and the poller re-drives the idempotent
-    Commits on the next pass.
+    FORGET record for a piggybacked decision, both left unforced — only
+    when every one of its participants acknowledged; partially-acked
+    transactions keep their decision intact and the poller re-drives the
+    idempotent Commits on the next pass.
     """
     committed = aborted = 0
 
@@ -102,7 +102,9 @@ def resolve_indoubts(host):
                 if txn_id in table_txns:
                     yield from forget.execute((txn_id,))
                 host.forget_decision(txn_id)
-            yield from session.commit()
+            # Unforced, like the coordinator's own forget: a lost DELETE
+            # only re-drives an idempotent Commit on the next pass.
+            yield from session.commit(force=False)
         except ReproError:
             host._indoubt_session = None
             raise

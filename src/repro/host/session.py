@@ -757,27 +757,39 @@ class HostSession:
         yield from self._forget_decision(txn_id, reuse=False)
 
     def _forget_decision(self, txn_id: int, reuse: bool = True):
+        """Generator: forget a fully-acknowledged commit decision.
+
+        Presumed abort's end record is written lazily: a piggybacked
+        decision appends an unforced FORGET record, a decision-table
+        decision commits its DELETE without forcing the log. A crash
+        before the next force loses the forget, the decision survives,
+        and the in-doubt resolver re-drives a Commit every participant
+        answers ``already-finished``.
+        """
         if txn_id in self.host._decisions:
-            # Piggybacked decision: forgetting is an unforced FORGET
-            # record, not a logged DELETE + force.
             self.host.forget_decision(txn_id)
-            return
-        # Synchronous commits on a HostSession are serial, so they share
-        # one cached session; the E6 async finishers run concurrently
-        # with later transactions and must take their own.
-        if reuse:
-            session = self._decision_session
-            if session is None:
-                session = self._decision_session = self.host.db.session()
         else:
-            session = self.host.db.session()
-        try:
-            yield from session.execute(
-                "DELETE FROM dlk_indoubt WHERE txn_id = ?", (txn_id,))
-            yield from session.commit()
-        except ReproError:
-            self._decision_session = None  # do not reuse a poisoned session
-            raise
+            # Synchronous commits on a HostSession are serial, so they
+            # share one cached session; the E6 async finishers run
+            # concurrently with later transactions and take their own.
+            if reuse:
+                session = self._decision_session
+                if session is None:
+                    session = self._decision_session = self.host.db.session()
+            else:
+                session = self.host.db.session()
+            try:
+                yield from session.execute(
+                    "DELETE FROM dlk_indoubt WHERE txn_id = ?", (txn_id,))
+                yield from session.commit(force=False)
+            except ReproError:
+                self._decision_session = None  # do not reuse a poisoned one
+                raise
+        injector = self.sim.injector
+        if injector.enabled:
+            # Crash with the forget appended but not yet durable.
+            injector.maybe_crash(f"twopc.forget:{self.host.db.name}",
+                                 self.host.db.name)
 
     def rollback(self):
         """Generator: application ROLLBACK."""

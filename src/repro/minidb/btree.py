@@ -57,7 +57,12 @@ class _Inner:
     __slots__ = ("keys", "children")
 
     def __init__(self, keys: list, children: list) -> None:
-        self.keys = keys          # separator i = min key of children[i+1]
+        # Separators are full (ekey, rid) entries: separator i was the
+        # min entry of children[i+1] when it was made, so every entry of
+        # children[i] sorts below it and every entry of children[i+1] at
+        # or above it. Entries are unique, so one descent finds the only
+        # leaf an entry can be in, however many duplicates of its key.
+        self.keys = keys
         self.children = children
 
 
@@ -81,10 +86,10 @@ class BTree:
 
     def insert(self, key_values: tuple, rid: Rid) -> None:
         ekey = encode_key(key_values)
-        if self.unique and self._exists(ekey):
+        if self.unique and self._contains(ekey):
             raise DuplicateKeyError(
                 f"duplicate key {key_values!r} in unique index {self.name}")
-        split = self._insert(self._root, ekey, rid)
+        split = self._insert(self._root, (ekey, rid))
         if split is not None:
             sep, right = split
             self._root = _Inner([sep], [self._root, right])
@@ -92,17 +97,15 @@ class BTree:
 
     def delete(self, key_values: tuple, rid: Rid) -> bool:
         """Remove one (key, rid) entry; returns False if absent."""
-        ekey = encode_key(key_values)
-        leaf = self._leaf_for(ekey)
-        while leaf is not None:
-            idx = bisect.bisect_left(leaf.entries, (ekey, rid))
-            if idx < len(leaf.entries) and leaf.entries[idx] == (ekey, rid):
-                del leaf.entries[idx]
-                self._count -= 1
-                return True
-            if leaf.entries and leaf.entries[0][0] > ekey:
-                return False
-            leaf = leaf.next
+        entry = (encode_key(key_values), rid)
+        node = self._root
+        while isinstance(node, _Inner):
+            node = node.children[bisect.bisect_right(node.keys, entry)]
+        idx = bisect.bisect_left(node.entries, entry)
+        if idx < len(node.entries) and node.entries[idx] == entry:
+            del node.entries[idx]
+            self._count -= 1
+            return True
         return False
 
     # -- lookup ------------------------------------------------------------------
@@ -110,6 +113,10 @@ class BTree:
     def search_eq(self, key_values: tuple) -> list[Rid]:
         ekey = encode_key(key_values)
         return [rid for _, rid in self._scan_encoded(ekey, True, ekey, True)]
+
+    def contains(self, key_values: tuple) -> bool:
+        """True if any entry has exactly this key."""
+        return self._contains(encode_key(key_values))
 
     def scan_range(self, lo: Optional[tuple], lo_inclusive: bool,
                    hi: Optional[tuple], hi_inclusive: bool
@@ -137,9 +144,15 @@ class BTree:
 
     # -- internals ----------------------------------------------------------------
 
-    def _exists(self, ekey: tuple) -> bool:
-        for _ in self._scan_encoded(ekey, True, ekey, True):
-            return True
+    def _contains(self, ekey: tuple) -> bool:
+        # The first entry at or after ``ekey`` decides; deletes can leave
+        # leaves empty, so it may sit past the leaf the descent found.
+        leaf = self._leaf_for(ekey)
+        index = bisect.bisect_left(leaf.entries, (ekey,))
+        while leaf is not None:
+            if index < len(leaf.entries):
+                return leaf.entries[index][0] == ekey
+            leaf, index = leaf.next, 0
         return False
 
     def _scan_encoded(self, elo, lo_inclusive, ehi, hi_inclusive):
@@ -175,22 +188,24 @@ class BTree:
         return node
 
     def _leaf_for(self, ekey: tuple) -> _Leaf:
-        # bisect_left so a search key equal to a separator descends LEFT:
-        # duplicates of the separator key may live in the left subtree.
+        """The leftmost leaf that can hold an entry with key >= ``ekey``;
+        callers walk right from it. ``(ekey,)`` sorts below every
+        ``(ekey, rid)`` entry, so the descent lands left of all
+        duplicates of ``ekey``."""
+        probe = (ekey,)
         node = self._root
         while isinstance(node, _Inner):
-            idx = bisect.bisect_left(node.keys, ekey)
-            node = node.children[idx]
+            node = node.children[bisect.bisect_left(node.keys, probe)]
         return node
 
-    def _insert(self, node, ekey: tuple, rid: Rid):
+    def _insert(self, node, entry: tuple):
         if isinstance(node, _Leaf):
-            bisect.insort(node.entries, (ekey, rid))
+            bisect.insort(node.entries, entry)
             if len(node.entries) > self.order:
                 return self._split_leaf(node)
             return None
-        idx = bisect.bisect_right(node.keys, ekey)
-        split = self._insert(node.children[idx], ekey, rid)
+        idx = bisect.bisect_right(node.keys, entry)
+        split = self._insert(node.children[idx], entry)
         if split is None:
             return None
         sep, right = split
@@ -207,7 +222,7 @@ class BTree:
         leaf.entries = leaf.entries[:mid]
         right.next = leaf.next
         leaf.next = right
-        return right.entries[0][0], right
+        return right.entries[0], right
 
     def _split_inner(self, node: _Inner):
         mid = len(node.children) // 2
@@ -238,8 +253,8 @@ class BTree:
         """Reload from ``(encoded_key, rid)`` pairs, in any order.
 
         Sorts the run once, then builds bottom-up: sequential leaf fills
-        chained left-to-right, then inner levels over their minimum keys
-        — the classic LOAD-style build, with no per-pair descent or
+        chained left-to-right, then inner levels over their minimum
+        entries — the classic LOAD-style build, with no per-pair descent or
         splits. Duplicate keys are kept (entries are (key, rid) pairs);
         uniqueness is bypassed: callers pass checkpoint images or
         pre-checked LOAD runs that were consistent when taken.
@@ -257,7 +272,7 @@ class BTree:
             if previous is not None:
                 previous.next = leaf
             previous = leaf
-            level.append((leaf.entries[0][0], leaf))
+            level.append((leaf.entries[0], leaf))
         while len(level) > 1:
             parents = []
             for start in range(0, len(level), self.order):

@@ -188,7 +188,7 @@ class Database:
             txn.snapshot_lsn = self.wal.tail_lsn
         return txn
 
-    def commit(self, txn: Transaction, payload=None):
+    def commit(self, txn: Transaction, payload=None, force: bool = True):
         """Generator: commit — force the log, release locks.
 
         ``payload`` rides on the COMMIT record itself (decision
@@ -196,6 +196,15 @@ class Database:
         WAL force instead of paying for its own logged INSERTs). A
         payload forces a COMMIT record even for a write-free
         transaction — the decision must be durable regardless.
+
+        ``force=False`` appends the COMMIT record but leaves it in the
+        unforced tail: versions are stamped and locks released at once,
+        no force is paid or fed to the group-commit EWMA, and a crash
+        before the next force loses the whole transaction. Releasing
+        locks early is safe because the log is sequential: any later
+        forced commit — including one that read the freed rows — makes
+        this record durable first. For work whose loss is harmless (the
+        2PC coordinator's forget of a fully-acknowledged decision).
         """
         self._ensure_up()
         if txn.rollback_only:
@@ -210,16 +219,17 @@ class Database:
             # in the cooperative kernel no snapshot can begin in between,
             # so versions and the commit record appear atomically.
             self._stamp_versions(txn, record.lsn)
-            injector = self.sim.injector
-            if injector.enabled:
-                # Crash with the COMMIT record appended but NOT durable.
-                injector.maybe_crash(f"wal.force.before:{self.name}",
-                                     self.name)
-            yield from self._force_wal(txn, "commit")
-            if injector.enabled:
-                # Crash with the record durable but the ack never sent.
-                injector.maybe_crash(f"wal.force.after:{self.name}",
-                                     self.name)
+            if force:
+                injector = self.sim.injector
+                if injector.enabled:
+                    # Crash with the COMMIT record appended, NOT durable.
+                    injector.maybe_crash(f"wal.force.before:{self.name}",
+                                         self.name)
+                yield from self._force_wal(txn, "commit")
+                if injector.enabled:
+                    # Crash with the record durable but the ack never sent.
+                    injector.maybe_crash(f"wal.force.after:{self.name}",
+                                         self.name)
         self.locks.release_all(txn)
         self.txns.end(txn, TxnState.COMMITTED)
         self.metrics.commits += 1

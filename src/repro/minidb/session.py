@@ -91,19 +91,21 @@ class Session:
             self.txn = self.db.begin(self.isolation)
         return self.txn
 
-    def commit(self, payload=None):
+    def commit(self, payload=None, force: bool = True):
         """Generator: commit the open transaction (no-op when none).
 
         ``payload`` (if any) rides on the COMMIT log record — see
         :meth:`Database.commit`. A payload with no open transaction
         starts one so the record is still written and forced.
+        ``force=False`` leaves the COMMIT record unforced (see
+        :meth:`Database.commit`).
         """
         if self.txn is None:
             if payload is None:
                 return
             self._require_txn()
         txn, self.txn = self.txn, None
-        yield from self.db.commit(txn, payload=payload)
+        yield from self.db.commit(txn, payload=payload, force=force)
 
     def rollback(self):
         """Generator: roll back the open transaction (no-op when none)."""

@@ -39,13 +39,13 @@ class HeapPage:
 
     @property
     def free_slots(self) -> int:
-        return sum(1 for slot in self.slots if slot is None)
+        return self.slots.count(None)
 
     def first_free(self) -> Optional[int]:
-        for i, slot in enumerate(self.slots):
-            if slot is None:
-                return i
-        return None
+        try:
+            return self.slots.index(None)
+        except ValueError:
+            return None
 
 
 class Disk:

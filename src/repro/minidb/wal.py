@@ -51,13 +51,16 @@ FORGET = "FORGET"    # 2PC decision forgotten (piggybacked decisions)
 _REDOABLE = frozenset({INSERT, DELETE, UPDATE, CLR})
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     """One WAL entry. ``undo_next`` is only set for CLRs.
 
     ``prev_page_lsn`` threads the per-page log chain: for a redoable
     record it is the LSN of the previous redoable record against the
     same (table, page), or None at the chain's start.
+
+    Slotted: the log keeps every record for the life of the database,
+    so a per-record ``__dict__`` is the largest allocation of a run.
     """
 
     lsn: int

@@ -412,7 +412,7 @@ class Executor:
         for index in indexes:
             if index.unique and not self._has_null_key(table, index, row):
                 key = self._index_key(table, index, row)
-                if (self.db.btrees[index.name].search_eq(key)
+                if (self.db.btrees[index.name].contains(key)
                         or self.db.bulk_pending_duplicate(
                             table.name, index.name, key)):
                     raise DuplicateKeyError(

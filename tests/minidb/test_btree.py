@@ -302,17 +302,68 @@ def test_property_bounded_scans_match_sorted_reference(keys, deletes, order,
 
 
 def test_unique_index_sees_duplicate_in_next_leaf():
-    """A search key equal to a separator descends left, so its only
-    equal entry can be the first one of the next leaf."""
+    """Separators are full (key, rid) entries and a key probe sorts below
+    every entry with that key, so a probe equal to a separator's key
+    descends left: its only equal entry is the first one of the next
+    leaf."""
     tree = BTree("idx", "t", ("a", "b"), unique=True, order=4)
     for i in range(5):
         tree.insert((i, "x"), (i, 0))
     assert tree.nlevels == 2
-    first_of_right = tree._root.children[1].entries[0][0]
+    first_of_right = tree._root.children[1].entries[0]
     assert tree._root.keys == [first_of_right]
+    assert tree.contains((2, "x")) and not tree.contains((2, "y"))
     with pytest.raises(DuplicateKeyError):
         tree.insert((2, "x"), (9, 0))
     assert len(tree) == 5
+
+
+def _leaves_and_bounds(node, lo=None, hi=None):
+    """Yield each leaf with the separator bounds its parents give it."""
+    if not hasattr(node, "keys"):
+        yield node, lo, hi
+        return
+    bounds = [lo] + node.keys + [hi]
+    for i, child in enumerate(node.children):
+        yield from _leaves_and_bounds(child, bounds[i], bounds[i + 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                max_size=160),
+       st.randoms(use_true_random=False),
+       st.integers(min_value=4, max_value=6))
+def test_property_deletes_among_duplicates_spread_over_many_leaves(
+        values, rng, order):
+    """Few distinct keys, so each key's duplicates span many leaves; a
+    delete descends by the full (key, rid) entry straight to its leaf."""
+    tree = BTree("idx", "t", ("k",), unique=False, order=order)
+    model = {}
+    rids = list(range(len(values)))
+    rng.shuffle(rids)
+    for slot in rids:
+        tree.insert((values[slot],), (slot, 0))
+        model[(slot, 0)] = values[slot]
+    doomed = list(model)
+    rng.shuffle(doomed)
+    for rid in doomed[:rng.randrange(len(doomed) + 1)]:
+        value = model.pop(rid)
+        assert tree.delete((value,), (rid[0] + 1000, 0)) is False  # absent
+        assert tree.delete((value,), rid) is True
+        assert tree.delete((value,), rid) is False                 # gone
+    reference = sorted((encode_key((v,)), rid) for rid, v in model.items())
+    assert list(tree.items()) == reference
+    assert len(tree) == len(reference)
+    # Every leaf entry lies within its parents' separators.
+    for leaf, lo, hi in _leaves_and_bounds(tree._root):
+        for entry in leaf.entries:
+            assert lo is None or lo <= entry
+            assert hi is None or entry < hi
+    for value in range(4):
+        expected = [rid for ekey, rid in reference
+                    if ekey == encode_key((value,))]
+        assert tree.search_eq((value,)) == expected
+        assert tree.contains((value,)) == bool(expected)
 
 
 @settings(max_examples=60, deadline=None)

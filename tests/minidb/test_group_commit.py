@@ -373,3 +373,80 @@ def test_auto_matches_fixed_data_outcome():
         sim.run_process(serial())
         results[window] = all_rows(db)
     assert results["auto"] == results[0.02]
+
+
+def _unforced_update(db, k, value):
+    session = db.session()
+    yield from session.execute(
+        "UPDATE t SET v = ? WHERE k = ?", (value, k))
+    yield from session.commit(force=False)
+
+
+@pytest.mark.parametrize("window", [0.0, 0.02, "auto"])
+def test_unforced_commit_releases_locks_without_a_force(window):
+    """``commit(force=False)`` appends the COMMIT record and releases
+    locks at once, but pays no force, opens no group and feeds nothing
+    into the auto window's inter-arrival EWMA."""
+    sim = Simulator()
+    db = make_db(sim, group_commit_window=window)
+    wal = db.wal
+    before = (wal.metrics.forces, wal.metrics.group_commits,
+              wal.flushed_upto, wal.last_commit_request,
+              wal.commit_gap_ewma)
+    started = sim.now
+    sim.run_process(_unforced_update(db, 1, "lazy"))
+    assert sim.now == started                # no window, no force latency
+    assert (wal.metrics.forces, wal.metrics.group_commits,
+            wal.flushed_upto, wal.last_commit_request,
+            wal.commit_gap_ewma) == before
+    assert wal.records[-1].kind == "COMMIT"
+    assert db.locks.heads == {}
+    assert dict(all_rows(db))[1] == "lazy"   # visible to the next reader
+
+
+def test_unforced_commit_is_lost_by_a_crash_before_the_next_force():
+    sim = Simulator()
+    db = make_db(sim)
+    sim.run_process(_unforced_update(db, 1, "lazy"))
+    db.crash()
+    db.restart()
+    assert dict(all_rows(db))[1] == "init"
+
+
+def test_later_forced_commit_makes_an_unforced_one_durable():
+    """The log is sequential: a forced commit — here one that read the
+    row the unforced commit wrote — flushes every earlier record."""
+    sim = Simulator()
+    db = make_db(sim)
+
+    def reader_then_writer():
+        session = db.session()
+        result = yield from session.execute(
+            "SELECT v FROM t WHERE k = ?", (1,))
+        yield from session.execute(
+            "UPDATE t SET v = ? WHERE k = ?", (result.rows[0][0] + "+", 2))
+        yield from session.commit()
+
+    sim.run_process(_unforced_update(db, 1, "lazy"))
+    sim.run_process(reader_then_writer())
+    db.crash()
+    db.restart()
+    rows = dict(all_rows(db))
+    assert rows[1] == "lazy" and rows[2] == "lazy+"
+
+
+def test_unforced_commit_fires_no_force_crash_points():
+    """``wal.force.before/after`` bracket a force; a commit that forces
+    nothing must not reach them."""
+    from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
+    plan = FaultPlan([FaultRule("wal.force.before:g", "crash", prob=1.0),
+                      FaultRule("wal.force.after:g", "crash", prob=1.0)],
+                     name="t")
+    injector = FaultInjector(plan)
+    sim = Simulator(injector=injector)
+    injector.enabled = False
+    db = make_db(sim)
+    injector.enabled = True
+    sim.run_process(_unforced_update(db, 1, "lazy"))
+    assert injector.crashes == []
+    assert not db.crashed

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DatabaseError
-from repro.minidb.storage import BufferPool, Disk, Heap
+from repro.minidb.storage import BufferPool, Disk, Heap, HeapPage
 
 
 def make_heap(capacity=100, rows_per_page=4):
@@ -226,3 +226,13 @@ def test_free_hint_matches_linear_scan_reference():
         if expected is None:
             expected = (heap.npages, 0)
         assert heap.candidate_rid() == expected
+
+
+def test_heap_page_free_slot_accounting():
+    page = HeapPage(0, 3)
+    assert (page.free_slots, page.first_free()) == (3, 0)
+    page.slots[0] = ("a",)
+    page.slots[2] = ("c",)
+    assert (page.free_slots, page.first_free()) == (1, 1)
+    page.slots[1] = ("b",)
+    assert (page.free_slots, page.first_free()) == (0, None)

@@ -1,6 +1,7 @@
 """BENCH_PERF.json history accumulation: the trajectory must grow."""
 
-from repro.bench.harness import HISTORY_LABEL, update_history
+from repro.bench.harness import (HISTORY_LABEL, headline_reference,
+                                 update_history)
 
 
 PR2_ROW = {"label": "pr2-batched-rpcs-group-commit", "headline": "old"}
@@ -33,3 +34,20 @@ def test_foreign_rows_are_never_dropped():
     rows = [{"label": f"pr{i}"} for i in range(5)]
     history = update_history(list(rows), {"label": HISTORY_LABEL})
     assert history[:5] == rows
+
+
+def test_headline_reference_prefers_this_labels_previous_run():
+    rows = [{"label": "older", "headline_ops_per_sec": 100.0},
+            {"label": HISTORY_LABEL, "headline_ops_per_sec": 200.0},
+            {"label": "newer", "headline_ops_per_sec": 300.0}]
+    assert headline_reference(rows) == 200.0
+
+
+def test_headline_reference_of_a_new_label_is_the_newest_headline():
+    """A label's first run must still be gated against something."""
+    rows = [{"label": "older", "headline_ops_per_sec": 100.0},
+            {"label": "newest", "headline_ops_per_sec": 300.0},
+            {"label": "no-headline"}]
+    assert headline_reference(rows) == 300.0
+    assert headline_reference([PR2_ROW]) is None
+    assert headline_reference(None) is None
