@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.dlfm.config import DLFMConfig
 from repro.errors import TransactionAborted
@@ -900,18 +901,18 @@ def run_recovery(cfg: BenchConfig) -> dict:
 # --------------------------------------------------------------- multi-server
 
 def run_multi_server_arm(cfg: BenchConfig, n_servers: int,
-                         scatter: bool) -> dict:
+                         workers: Optional[int]) -> dict:
     """K clients, each transaction linking one file on EVERY server, so
-    commit fans 2PC out to ``n_servers`` participants. The historical
-    serial coordinator pays each participant's prepare and phase-2
-    commit cost sequentially; scatter-gather overlaps them, so commit
-    latency approaches the slowest single participant instead of the
-    sum."""
+    commit fans 2PC out to ``n_servers`` participants. The serial
+    coordinator (``workers=1``) pays each participant's prepare and
+    phase-2 commit cost sequentially; the unbounded fan-out
+    (``workers=None``) overlaps them, so commit latency approaches the
+    slowest single participant instead of the sum."""
     servers = tuple(f"fs{i + 1}" for i in range(n_servers))
     timing = TimingModel.calibrated()
     dlfm_config = DLFMConfig.tuned(timing=timing)
     host_config = HostConfig(batch_datalinks=True, sync_commit=True,
-                             scatter_gather=scatter)
+                             fanout_workers=workers)
     host_config.db.timing = timing
     host_config.db.next_key_locking = False
     host_config.db.isolation = "CS"
@@ -949,7 +950,7 @@ def run_multi_server_arm(cfg: BenchConfig, n_servers: int,
     system.run(root())
     return {
         "servers": n_servers,
-        "mode": "scatter" if scatter else "serial",
+        "mode": "serial" if workers == 1 else "scatter",
         "txns": cfg.ms_clients * cfg.ms_txns,
         "p50_commit_s": _percentile(commit_latencies, 50),
         "p95_commit_s": _percentile(commit_latencies, 95),
@@ -961,8 +962,8 @@ def run_multi_server(cfg: BenchConfig) -> dict:
     """Serial-vs-scatter 2PC commit latency at 1/2/4 participants."""
     out = {}
     for n in cfg.ms_server_counts:
-        serial = run_multi_server_arm(cfg, n, scatter=False)
-        fanned = run_multi_server_arm(cfg, n, scatter=True)
+        serial = run_multi_server_arm(cfg, n, workers=1)
+        fanned = run_multi_server_arm(cfg, n, workers=None)
         out[str(n)] = {
             "serial": serial,
             "scatter": fanned,

@@ -17,6 +17,7 @@ from repro.dlfm import api
 from repro.errors import DataLinkError
 from repro.host.datalink import DatalinkSpec, parse_url, shadow_column
 from repro.host.ids import RecoveryIdGenerator
+from repro.kernel import rpc
 from repro.kernel.sim import Simulator
 from repro.minidb import Database, DBConfig
 from repro.minidb import wal as walmod
@@ -40,14 +41,6 @@ class HostConfig:
     #: the commit-time flush (aborting the transaction) instead of at the
     #: originating statement (statement-level backout). See DESIGN.md §9.
     batch_datalinks: bool = False
-    #: Scatter-gather 2PC fan-out: prepare all participants concurrently
-    #: in phase 1 and send the phase-2 Commit/Abort verbs concurrently,
-    #: so an N-server transaction pays ~1 round-trip per phase instead
-    #: of N. False reproduces the historical serial coordinator (the
-    #: bench's baseline arm). Protocol outcomes are identical either
-    #: way — a no-vote still aborts everyone, including participants
-    #: that already prepared (§3.3).
-    scatter_gather: bool = True
     #: LOAD utility: defer per-row index maintenance on the target table
     #: and fold the run into each B+tree with one sorted bottom-up build
     #: at the end (DB2's LOAD "build phase"). Loaded rows are invisible
@@ -72,11 +65,22 @@ class HostConfig:
     #: restart). Off by default: the paper-faithful experiments (and the
     #: seed tests) observe the decision table directly.
     decision_piggyback: bool = False
-    #: Bounded coordinator fan-out: >0 runs 2PC phase-1/phase-2 fan-out
-    #: through a WorkerPool of this many workers instead of spawning one
-    #: process per participant — a 32-shard commit no longer spawns 32
-    #: concurrent coordinator processes. 0 keeps the unbounded scatter.
-    fanout_workers: int = 0
+    #: Coordinator fan-out width: every 2PC fan-out (Prepare, Commit,
+    #: Abort, XA and in-doubt re-drive) runs through
+    #: :func:`repro.kernel.rpc.gather_all` with at most this many
+    #: concurrent processes. ``None`` is unbounded (one process per
+    #: participant, ~1 round-trip per phase instead of N); ``1`` is the
+    #: historical serial coordinator, the multi-server bench's baseline.
+    #: Protocol outcomes are identical at every width — a no-vote still
+    #: aborts everyone, including participants that already prepared
+    #: (§3.3).
+    fanout_workers: Optional[int] = None
+
+    def __post_init__(self):
+        if self.fanout_workers is not None and self.fanout_workers < 1:
+            raise ValueError(
+                f"fanout_workers must be None or >= 1, "
+                f"not {self.fanout_workers!r}")
 
 
 @dataclass
@@ -185,6 +189,14 @@ class HostDB:
         for txn_id, servers in sorted(self._decisions.items()):
             rows.extend((txn_id, server) for server in servers)
         return rows
+
+    def fan_out(self, gens, name: str, **kwargs):
+        """Generator: the coordinator's 2PC fan-out —
+        :func:`rpc.gather_all` at ``config.fanout_workers`` width; a
+        crash rule in its fault window takes this host down."""
+        return (yield from rpc.gather_all(
+            self.sim, gens, workers=self.config.fanout_workers, name=name,
+            fault_node=self.db.name, **kwargs))
 
     def _rescan_decisions(self) -> None:
         """Rebuild the piggybacked-decision map from the durable log."""

@@ -37,15 +37,16 @@ def resolve_indoubts(host):
     durable commit decision — ``dlk_indoubt`` rows and piggybacked
     COMMIT-payload decisions alike; then every transaction a DLFM still
     reports as prepared has no decision and is aborted. The re-drive
-    fans out across all (transaction, server) pairs at once
-    (scatter-gather): after a crash mid-fan-out many transactions are in
-    doubt together, and re-driving them serially would stretch recovery
-    by a round-trip per pair. A transaction is forgotten — ONE
-    ``DELETE ... WHERE txn_id = ?`` covering all its decision rows, one
-    FORGET record for a piggybacked decision, both left unforced — only
-    when every one of its participants acknowledged; partially-acked
-    transactions keep their decision intact and the poller re-drives the
-    idempotent Commits on the next pass.
+    fans out across all (transaction, server) pairs at once, at the
+    coordinator's ``fanout_workers`` width: after a crash mid-fan-out
+    many transactions are in doubt together, and re-driving them
+    serially would stretch recovery by a round-trip per pair. A
+    transaction is forgotten — ONE ``DELETE ... WHERE txn_id = ?``
+    covering all its decision rows, one FORGET record for a piggybacked
+    decision, both left unforced — only when every one of its
+    participants acknowledged; partially-acked transactions keep their
+    decision intact and the poller re-drives the idempotent Commits on
+    the next pass.
     """
     committed = aborted = 0
 
@@ -75,11 +76,10 @@ def resolve_indoubts(host):
         acked: dict[int, set] = {}
         chans = [host.dlfms[server].connect() for _, server in pending]
         try:
-            outcomes = yield from rpc.scatter(
-                host.sim,
-                [(chan, api.Commit(host.dbid, txn_id))
+            outcomes = yield from host.fan_out(
+                [rpc.call(host.sim, chan, api.Commit(host.dbid, txn_id))
                  for chan, (txn_id, _) in zip(chans, pending)],
-                name="indoubt-commit", return_exceptions=True)
+                "indoubt-commit", return_exceptions=True)
         finally:
             for chan in chans:
                 chan.close()
@@ -112,10 +112,9 @@ def resolve_indoubts(host):
         raise first_error
 
     # 4. Anything still prepared at a DLFM has no decision → abort.
-    counts = yield from rpc.gather_all(
-        host.sim,
+    counts = yield from host.fan_out(
         [_sweep_server(host, server) for server in sorted(host.dlfms)],
-        name="indoubt-sweep")
+        "indoubt-sweep")
     aborted = sum(counts)
     return {"committed": committed, "aborted": aborted}
 

@@ -443,24 +443,17 @@ class HostSession:
             return
         txn_id = self.txn_id
         self._buffered.clear()   # unflushed ops never reached any DLFM
-        calls = []
+        gens = []
         for server in sorted(self.participants):
             try:
-                calls.append((self._channel(server),
-                              api.Abort(self.host.dbid, txn_id)))
+                gens.append(rpc.call(self.sim, self._channel(server),
+                                     api.Abort(self.host.dbid, txn_id)))
             except ReproError:
                 pass  # participant down; presumed abort resolves it later
-        if self.host.config.scatter_gather and len(calls) > 1:
-            # Fan the Aborts out; a down participant's error is ignored
-            # (presumed abort resolves it later), so drain every reply.
-            yield from rpc.scatter(self.sim, calls, name=f"abort-{txn_id}",
-                                   return_exceptions=True)
-        else:
-            for chan, payload in calls:
-                try:
-                    yield from rpc.call(self.sim, chan, payload)
-                except ReproError:
-                    pass  # participant down; presumed abort resolves it
+        # A down participant's error is ignored (presumed abort resolves
+        # it later), so every reply is drained and none is raised.
+        yield from self.host.fan_out(gens, f"abort-{txn_id}",
+                                     return_exceptions=True)
         yield from self.session.rollback()
         self._reset()
         self.host.metrics.rollbacks += 1
@@ -519,14 +512,13 @@ class HostSession:
             self.host.metrics.commits += 1
             return
 
-        # ---- phase 1: prepare every participant — concurrently under
-        # scatter-gather, serially with the historical coordinator; with
-        # batching on, a server's buffered ops ride in one Batch with
-        # Prepare piggybacked. One no-vote aborts everyone, including
-        # those already prepared (§3.3).
-        mode = "scatter" if self.host.config.scatter_gather else "serial"
+        # ---- phase 1: prepare every participant, ``fanout_workers`` at
+        # a time; with batching on, a server's buffered ops ride in one
+        # Batch with Prepare piggybacked. One no-vote aborts everyone,
+        # including those already prepared (§3.3).
+        workers = self.host.config.fanout_workers
         with self.sim.tracer.span("prepare.fanout", n=len(phase1),
-                                  mode=mode):
+                                  workers=workers):
             prepared = yield from self._phase1(txn_id, phase1)
         # ``prepared`` pairs each reply with the server that actually
         # prepared — a stale batched route may have landed on a different
@@ -569,30 +561,23 @@ class HostSession:
             pass  # everyone voted read-only: nothing is in doubt
         elif self.host.config.sync_commit:
             with self.sim.tracer.span("phase2.fanout", n=len(participants),
-                                      mode=mode):
+                                      workers=workers):
                 yield from self._phase2_commit(txn_id, participants)
         else:
             # E6 mode: every Commit verb is SENT (each child agent has
             # received it and started processing), but the application
             # regains control without waiting for the replies — so its
             # next transaction's sends queue behind the still-running
-            # commit processing. Scatter-gather overlaps the N sends;
-            # each send still blocks on its rendezvous.
-            calls = [(self._channel(server),
-                      api.Commit(self.host.dbid, txn_id))
-                     for server in participants]
+            # commit processing. The fan-out overlaps the N sends; each
+            # send still blocks on its rendezvous.
+            gens = [rpc.cast(self.sim, self._channel(server),
+                             api.Commit(self.host.dbid, txn_id))
+                    for server in participants]
             with self.sim.tracer.span("phase2.fanout", n=len(participants),
-                                      mode=mode):
-                if self.host.config.scatter_gather:
-                    replies = yield from rpc.scatter_cast(
-                        self.sim, calls, name=f"phase2-cast-{txn_id}",
-                        fault_point="twopc.fanout:phase2",
-                        fault_node=self.host.db.name)
-                else:
-                    replies = []
-                    for chan, payload in calls:
-                        reply = yield from rpc.cast(self.sim, chan, payload)
-                        replies.append(reply)
+                                      workers=workers):
+                replies = yield from self.host.fan_out(
+                    gens, f"phase2-cast-{txn_id}",
+                    fault_point="twopc.fanout:phase2")
             self.sim.spawn(self._phase2_finish(txn_id, replies),
                            f"async-phase2-{txn_id}")
         self._reset()
@@ -646,70 +631,20 @@ class HostSession:
                 server = new_server
         raise AssertionError("unreachable")
 
-    def _pooled_gather(self, gens, *, name: str, fault_point: str):
-        """Generator: bounded coordinator fan-out over a WorkerPool.
-
-        Runs ``gens`` through ``config.fanout_workers`` pool workers —
-        a 32-participant commit occupies at most that many concurrent
-        coordinator processes — and returns outcomes in ``gens`` order
-        with exceptions captured in place (gather_all's
-        ``return_exceptions=True`` contract). The same chaos window as
-        the unbounded scatter fires between hand-out and drain.
-        """
-        from repro.kernel.pool import WorkerPool
-        outcomes = [None] * len(gens)
-
-        def handle(item):
-            index, gen = item
-            try:
-                outcomes[index] = yield from gen
-            except Exception as error:  # incl. CrashedError: captured,
-                outcomes[index] = error  # never kills the pool worker
-        pool = WorkerPool(self.sim, name, handle,
-                          workers=min(self.host.config.fanout_workers,
-                                      len(gens)))
-        pool.start()
-        try:
-            for i, gen in enumerate(gens):
-                yield from pool.submit((i, gen))
-            if self.sim.injector.enabled:
-                yield from rpc._fanout_faults(self.sim, fault_point,
-                                              self.host.db.name)
-            yield from pool.drain()
-        finally:
-            pool.stop()
-        return outcomes
-
     def _phase1(self, txn_id: int, phase1: list[str]):
         """Generator: run phase 1; returns ``(server, reply)`` pairs in
         ``phase1`` order (the server is the one that actually prepared
         after any stale-route re-bucketing)."""
         self._phase1_targets = set(phase1)
         gens = [self._prepare_one(server, txn_id) for server in phase1]
-        if not self.host.config.scatter_gather:
-            replies = []
-            for server, gen in zip(phase1, gens):
-                try:
-                    replies.append((yield from gen))
-                except ReproError as error:
-                    abort = yield from self._phase1_failed(server, error)
-                    raise abort from error
-            return replies
         try:
-            if self.host.config.fanout_workers > 0:
-                outcomes = yield from self._pooled_gather(
-                    gens, name=f"prepare-{txn_id}",
-                    fault_point="twopc.fanout:prepare")
-            else:
-                outcomes = yield from rpc.gather_all(
-                    self.sim, gens, name=f"prepare-{txn_id}",
-                    return_exceptions=True,
-                    fault_point="twopc.fanout:prepare",
-                    fault_node=self.host.db.name)
+            outcomes = yield from self.host.fan_out(
+                gens, f"prepare-{txn_id}", return_exceptions=True,
+                fault_point="twopc.fanout:prepare")
         except ReproError as error:
             # The coordinator itself died in the scatter→gather window;
-            # outstanding prepares drain detached, participants resolve
-            # by presumed abort / in-doubt re-drive after restart.
+            # the workers finish the prepares they hold, participants
+            # resolve by presumed abort / in-doubt re-drive after restart.
             abort = yield from self._phase1_failed("(coordinator)", error)
             raise abort from error
         for server, outcome in zip(phase1, outcomes):
@@ -729,26 +664,11 @@ class HostSession:
             reason="prepare")
 
     def _phase2_commit(self, txn_id: int, servers: list[str]):
-        calls = [(self._channel(server), api.Commit(self.host.dbid, txn_id))
-                 for server in servers]
-        if (self.host.config.scatter_gather
-                and self.host.config.fanout_workers > 0):
-            gens = [rpc.call(self.sim, chan, payload)
-                    for chan, payload in calls]
-            outcomes = yield from self._pooled_gather(
-                gens, name=f"phase2-{txn_id}",
-                fault_point="twopc.fanout:phase2")
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        elif self.host.config.scatter_gather:
-            yield from rpc.scatter(
-                self.sim, calls, name=f"phase2-{txn_id}",
-                fault_point="twopc.fanout:phase2",
-                fault_node=self.host.db.name)
-        else:
-            for chan, payload in calls:
-                yield from rpc.call(self.sim, chan, payload)
+        gens = [rpc.call(self.sim, self._channel(server),
+                         api.Commit(self.host.dbid, txn_id))
+                for server in servers]
+        yield from self.host.fan_out(gens, f"phase2-{txn_id}",
+                                     fault_point="twopc.fanout:phase2")
         yield from self._forget_decision(txn_id)
 
     def _phase2_finish(self, txn_id: int, replies: list):

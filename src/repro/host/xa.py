@@ -84,23 +84,16 @@ def xa_prepare(session, gtrid: str):
             "VALUES (?, ?, ?)", (gtrid, txn_id, server))
     yield from reg.commit()
 
-    # 2. Prepare the DLFM sub-transactions (they see the local txn id) —
-    # fanned out under scatter-gather. Read-only voters are released at
-    # end of phase 1 and pruned from the pending registration so the
-    # TM's eventual commit skips them in phase 2.
+    # 2. Prepare the DLFM sub-transactions (they see the local txn id),
+    # fanned out. Read-only voters are released at end of phase 1 and
+    # pruned from the pending registration so the TM's eventual commit
+    # skips them in phase 2.
     servers = sorted(session.participants)
     try:
-        if host.config.scatter_gather:
-            replies = yield from rpc.scatter(
-                host.sim,
-                [(session._channel(server), api.Prepare(host.dbid, txn_id))
-                 for server in servers],
-                name=f"xa-prepare-{txn_id}")
-        else:
-            replies = []
-            for server in servers:
-                replies.append((yield from session._send_control(
-                    server, api.Prepare(host.dbid, txn_id))))
+        replies = yield from host.fan_out(
+            [rpc.call(host.sim, session._channel(server),
+                      api.Prepare(host.dbid, txn_id))
+             for server in servers], f"xa-prepare-{txn_id}")
     except ReproError as error:
         yield from xa_rollback(host, gtrid, session=session)
         raise TransactionAborted(
@@ -184,10 +177,10 @@ def xa_rollback(host, gtrid: str, session=None):
     try:
         # Fan the Aborts out; a down participant's error is swallowed
         # (presumed abort will mop up when it comes back).
-        yield from rpc.scatter(
-            host.sim,
-            [(chan, api.Abort(host.dbid, txn_id)) for chan in chans],
-            name=f"xa-abort-{txn_id}", return_exceptions=True)
+        yield from host.fan_out(
+            [rpc.call(host.sim, chan, api.Abort(host.dbid, txn_id))
+             for chan in chans],
+            f"xa-abort-{txn_id}", return_exceptions=True)
     finally:
         for chan in chans:
             chan.close()
@@ -207,15 +200,9 @@ def xa_rollback(host, gtrid: str, session=None):
 def _drive_phase2(host, gtrid: str, txn_id: int, servers):
     chans = [host.dlfms[server].connect() for server in servers]
     try:
-        if host.config.scatter_gather:
-            yield from rpc.scatter(
-                host.sim,
-                [(chan, api.Commit(host.dbid, txn_id)) for chan in chans],
-                name=f"xa-phase2-{txn_id}")
-        else:
-            for chan in chans:
-                yield from rpc.call(host.sim, chan,
-                                    api.Commit(host.dbid, txn_id))
+        yield from host.fan_out(
+            [rpc.call(host.sim, chan, api.Commit(host.dbid, txn_id))
+             for chan in chans], f"xa-phase2-{txn_id}")
     finally:
         for chan in chans:
             chan.close()

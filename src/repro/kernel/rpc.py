@@ -82,112 +82,70 @@ def _payload_nops(payload: Any) -> int:
     return len(ops) if ops is not None else 1
 
 
-def _absorb(proc):
-    """Generator: join ``proc`` swallowing its error (reply drained)."""
-    try:
-        yield from proc.join()
-    except ReproError:
-        pass
-
-
-def _fanout_faults(sim: Simulator, fault_point: str,
-                   fault_node: Optional[str]):
-    """Generator: fire the scatter→gather chaos window at ``fault_point``.
-
-    A ``delay`` rule stalls the gatherer while the scattered requests are
-    in flight; a ``crash`` rule takes ``fault_node`` down mid-fan-out —
-    the coordinator dies *between* scatter and gather, the window where
-    parallel prepare leaves every participant in doubt at once.
-    """
-    rule = sim.injector.fire(fault_point, ("delay",))
-    if rule is not None:
-        yield Timeout(rule.delay)
-    if fault_node is not None:
-        sim.injector.maybe_crash(fault_point, fault_node)
-
-
-def gather_all(sim: Simulator, gens, *, name: str = "gather",
-               return_exceptions: bool = False,
+def gather_all(sim: Simulator, gens, *, workers: Optional[int] = None,
+               name: str = "gather", return_exceptions: bool = False,
                fault_point: Optional[str] = None,
                fault_node: Optional[str] = None):
     """Generator: run ``gens`` concurrently and drain EVERY outcome.
 
-    Unlike :meth:`Simulator.gather` (which re-raises at the first failed
-    join, leaving later processes unjoined), this always consumes every
-    process's outcome before returning — no orphaned reply events, no
-    unjoined-failure noise. With ``return_exceptions=False`` the first
-    error (in ``gens`` order) is re-raised *after* the drain; with True
-    the returned list carries the exception objects in place of results.
+    The one coordinator fan-out. ``workers=None`` spawns one process per
+    generator; otherwise ``min(workers, len(gens))`` processes drain a
+    shared ``(index, gen)`` iterator, so ``workers=1`` is the serial
+    coordinator and a 32-participant commit occupies at most ``workers``
+    concurrent processes. Results come back in ``gens`` order, and each
+    failure is captured in place, so every outcome is consumed before
+    this returns: no orphaned reply events, no unjoined-failure noise.
+    With ``return_exceptions=False`` the first error (in ``gens`` order)
+    is re-raised *after* the drain; with True the returned list carries
+    the exception objects in place of results.
 
-    If a crash fault fires inside the scatter→gather window, the still
-    outstanding processes are handed to detached absorbers so their
-    replies are consumed even though the gatherer is gone.
+    ``fault_point``/``fault_node`` open a chaos window right after the
+    spawn: a ``delay`` rule stalls the gatherer while the requests are
+    in flight; a ``crash`` rule takes ``fault_node`` down mid-fan-out —
+    the coordinator dies *between* scatter and gather, the window where
+    parallel prepare leaves every participant in doubt at once. The
+    crash is raised at once; the workers still finish the items they
+    hold (capturing the outcomes nobody will read), but none starts a
+    new one: a dead coordinator sends nothing new.
     """
-    procs = [sim.spawn(gen, f"{name}-{i}") for i, gen in enumerate(gens)]
+    if workers is not None and workers < 1:
+        raise SimError(f"fan-out {name} needs at least one worker")
+    gens = list(gens)
+    outcomes: list = [None] * len(gens)
+    crashed = False
+
+    def worker(items):
+        for index, gen in items:
+            try:
+                outcomes[index] = yield from gen
+            except Exception as error:  # incl. CrashedError: in place
+                outcomes[index] = error
+            if crashed:
+                return
+
+    if workers is None:
+        queues = [iter([item]) for item in enumerate(gens)]
+    else:
+        queues = [iter(enumerate(gens))] * min(workers, len(gens))
+    procs = [sim.spawn(worker(queue), f"{name}-{i}")
+             for i, queue in enumerate(queues)]
     if fault_point is not None and sim.injector.enabled:
         try:
-            yield from _fanout_faults(sim, fault_point, fault_node)
+            rule = sim.injector.fire(fault_point, ("delay",))
+            if rule is not None:
+                yield Timeout(rule.delay)
+            if fault_node is not None:
+                sim.injector.maybe_crash(fault_point, fault_node)
         except ReproError:
-            for proc in procs:
-                sim.spawn(_absorb(proc), f"{name}-drain")
+            crashed = True
             raise
-    results = []
-    first_error: Optional[BaseException] = None
     for proc in procs:
-        outcome = yield proc.done.wait()
-        kind, value = outcome
-        if kind == "err":
-            sim.absolve(proc)  # consumed here, not an unhandled failure
-            if first_error is None:
-                first_error = value
-        results.append(value)
-    if first_error is not None and not return_exceptions:
-        raise first_error
-    return results
-
-
-def scatter(sim: Simulator, calls, *, name: str = "scatter",
-            return_exceptions: bool = False,
-            fault_point: Optional[str] = None,
-            fault_node: Optional[str] = None):
-    """Generator: fan one RPC out per ``(channel, payload)`` pair.
-
-    All requests are cast concurrently (each in its own process, so one
-    slow participant no longer serializes the rest), then every reply is
-    gathered. First-error semantics: the remaining replies are still
-    drained before the first error (in ``calls`` order) is re-raised —
-    or returned in-place with ``return_exceptions=True``, which 2PC
-    phase 1 uses to learn *which* participant voted no.
-
-    ``fault_point``/``fault_node`` open a chaos window between the
-    scatter and the gather (kinds ``delay`` and ``crash``).
-    """
-    calls = list(calls)
-    gens = (call(sim, chan, payload) for chan, payload in calls)
-    result = yield from gather_all(
-        sim, gens, name=name, return_exceptions=return_exceptions,
-        fault_point=fault_point, fault_node=fault_node)
-    return result
-
-
-def scatter_cast(sim: Simulator, calls, *, name: str = "scatter-cast",
-                 fault_point: Optional[str] = None,
-                 fault_node: Optional[str] = None):
-    """Generator: fan out the *sends* only; return the reply events.
-
-    The asynchronous-commit (E6) analogue of :func:`scatter`: every
-    payload is cast concurrently, and control returns once every send
-    has completed its rendezvous — i.e. every peer agent has RECEIVED
-    its request and started processing — without waiting for any reply.
-    The per-send blocking that makes asynchronous commit hazardous is
-    preserved exactly; only the N sends overlap each other.
-    """
-    calls = list(calls)
-    gens = (cast(sim, chan, payload) for chan, payload in calls)
-    replies = yield from gather_all(
-        sim, gens, name=name, fault_point=fault_point,
-        fault_node=fault_node)
-    return replies
+        yield from proc.join()
+    if not return_exceptions:
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return outcomes
 
 
 def wait_reply(reply: Event, timeout: Optional[float] = None):

@@ -6,7 +6,7 @@ import hashlib
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.chaos.faults import NULL_INJECTOR
 from repro.errors import SimError
@@ -225,7 +225,7 @@ class Process:
         if kind == "err":
             # The joiner consumes (and re-raises) the failure, so it is
             # handled even when the process finished before this join
-            # registered a waiter (e.g. a scatter-gather straggler).
+            # registered a waiter (e.g. a fan-out straggler).
             self.sim.absolve(self)
             raise payload
         return payload
@@ -386,9 +386,9 @@ class Simulator:
         """Forget a recorded unhandled failure of ``proc``.
 
         A process that fails before anyone waits on its ``done`` event is
-        recorded as unhandled at finalize time; a consumer that later
-        reads the outcome off the latched event (join, scatter-gather)
-        calls this so the handled error does not also fail the run.
+        recorded as unhandled at finalize time; a later join reads the
+        outcome off the latched event and calls this so the handled error
+        does not also fail the run.
         """
         self._failures = [f for f in self._failures if f[0] is not proc]
 
@@ -407,16 +407,6 @@ class Simulator:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._rng_cache[name] = rng
         return rng
-
-    # -- convenience ---------------------------------------------------------------
-
-    def gather(self, gens: Iterable[Generator], name: str = "gather") -> Generator:
-        """Generator: run ``gens`` concurrently, return their results in order."""
-        procs = [self.spawn(gen, f"{name}-{i}") for i, gen in enumerate(gens)]
-        results = []
-        for proc in procs:
-            results.append((yield from proc.join()))
-        return results
 
 
 def run_to_completion(gen_factory: Callable[[Simulator], Generator],

@@ -118,10 +118,10 @@ class Database:
 
     def _build_volatile(self) -> None:
         """(Re)create everything lost in a crash."""
-        self.pool = BufferPool(self.disk, self.config.buffer_pool_pages,
-                               self.config.rows_per_page)
         self.wal = getattr(self, "wal", None) or LogManager(
             self.config.wal_capacity)
+        self.pool = BufferPool(self.disk, self.config.buffer_pool_pages,
+                               self.config.rows_per_page, self.wal)
         self.locks = LockManager(self.sim, self.config, self.name)
         previous = getattr(self, "txns", None)
         self.txns = TransactionTable(

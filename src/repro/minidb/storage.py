@@ -118,12 +118,20 @@ class BufferMetrics:
 
 
 class BufferPool:
-    """Write-back LRU page cache over the :class:`Disk`."""
+    """Write-back LRU page cache over the :class:`Disk`.
 
-    def __init__(self, disk: Disk, capacity: int, rows_per_page: int):
+    WAL before data: with a ``wal`` attached, no dirty page reaches the
+    disk before the log is durable up to that page's ``page_lsn`` —
+    otherwise an uncommitted change could survive a crash with no log
+    record left for restart to undo it.
+    """
+
+    def __init__(self, disk: Disk, capacity: int, rows_per_page: int,
+                 wal=None):
         self.disk = disk
         self.capacity = capacity
         self.rows_per_page = rows_per_page
+        self.wal = wal
         self._frames: "OrderedDict[tuple[str, int], HeapPage]" = OrderedDict()
         self._dirty: set[tuple[str, int]] = set()
         self.metrics = BufferMetrics()
@@ -155,12 +163,21 @@ class BufferPool:
             key, page = self._frames.popitem(last=False)
             if key in self._dirty:
                 self._dirty.discard(key)
+                self._force_log(page.page_lsn)
                 self.disk.write_page(key[0], page)
                 self.metrics.page_writes += 1
                 self.metrics._io()
 
+    def _force_log(self, lsn: int) -> None:
+        """Force the log up to ``lsn``; a physical force is one I/O."""
+        if self.wal is not None and self.wal.force(lsn):
+            self.metrics._io()
+
     def flush_all(self) -> int:
         """Write every dirty page to disk (checkpoint); returns pages written."""
+        self._force_log(max((self._frames[key].page_lsn
+                             for key in self._dirty if key in self._frames),
+                            default=0))
         written = 0
         for key in sorted(self._dirty):
             page = self._frames.get(key)

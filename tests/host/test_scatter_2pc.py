@@ -1,10 +1,11 @@
 """Scatter-gather 2PC: parallel fan-out, read-only votes, crash windows.
 
-The paper's coordinator drives its participants serially; this repo adds
-a concurrent fan-out behind ``HostConfig.scatter_gather`` whose protocol
-outcomes must be IDENTICAL — one no-vote aborts everyone including
-already-prepared participants (§3.3) — plus the classical read-only
-participant optimization: a DLFM whose local transaction wrote nothing
+The paper's coordinator drives its participants serially; this repo fans
+them out ``HostConfig.fanout_workers`` at a time (1 is the serial
+coordinator), and the protocol outcomes must be IDENTICAL at every
+width — one no-vote aborts everyone including already-prepared
+participants (§3.3) — plus the classical read-only participant
+optimization: a DLFM whose local transaction wrote nothing
 votes read-only at Prepare, is released at end of phase 1, gets no
 ``dlk_indoubt`` decision row and no phase-2 Commit.
 """
@@ -213,31 +214,62 @@ def test_indoubt_resolution_with_mixed_readonly_and_write_set():
     assert system.host.db.table_rows("dlk_indoubt") == []
 
 
-def test_serial_and_scatter_coordinators_agree():
-    """Same workload, both coordinator modes: identical durable state."""
-    outcomes = {}
-    for scatter in (False, True):
-        system = _make(scatter_gather=scatter)
+def _commit_then_rollback(fanout_workers):
+    system = _make(fanout_workers=fanout_workers)
 
-        def go():
-            session = system.session()
-            yield from _link(session, 1, "fs1")
-            yield from _link(session, 2, "fs2")
-            yield from _link(session, 3, "fs3")
+    def go():
+        session = system.session()
+        yield from _link(session, 1, "fs1")
+        yield from _link(session, 2, "fs2")
+        yield from _link(session, 3, "fs3")
+        yield from session.commit()
+        yield from _link(session, 4, "fs1", path="/s/f1")
+        yield from session.rollback()
+
+    system.run(go())
+    return (
+        tuple(sorted((name, system.dlfms[name].linked_count())
+                     for name in system.dlfms)),
+        system.host.metrics.commits,
+        system.host.metrics.rollbacks,
+        system.host.db.table_rows("dlk_indoubt"),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_serial_and_scatter_coordinators_agree(workers):
+    """Same workload at every fan-out width — serial (1), bounded below
+    the three participants (2), unbounded (None): identical durable
+    state."""
+    outcome = _commit_then_rollback(workers)
+    assert outcome == _commit_then_rollback(None)
+    assert outcome[0] == (("fs1", 1), ("fs2", 1), ("fs3", 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_no_vote_aborts_everyone_at_every_width(workers):
+    """fs2 is dead at phase 1: whatever the width, every participant
+    ends aborted and no decision row is left behind."""
+    system = _make(fanout_workers=workers)
+
+    def go():
+        session = system.session()
+        for row_id, server in enumerate(("fs1", "fs2", "fs3"), 1):
+            yield from _link(session, row_id, server)
+        system.dlfms["fs2"].crash()
+        system.dlfms["fs2"].restart()
+        with pytest.raises(TransactionAborted) as err:
             yield from session.commit()
-            yield from _link(session, 4, "fs1", path="/s/f1")
-            yield from session.rollback()
+        assert err.value.reason == "prepare"
 
-        system.run(go())
-        outcomes[scatter] = (
-            tuple(sorted((name, system.dlfms[name].linked_count())
-                         for name in system.dlfms)),
-            system.host.metrics.commits,
-            system.host.metrics.rollbacks,
-            system.host.db.table_rows("dlk_indoubt"),
-        )
-    assert outcomes[False] == outcomes[True]
-    assert outcomes[True][0] == (("fs1", 1), ("fs2", 1), ("fs3", 1))
+    system.run(go())
+    for name in ("fs1", "fs2", "fs3"):
+        dlfm = system.dlfms[name]
+        assert dlfm.linked_count() == 0
+        assert dlfm.db.table_rows("dfm_txn") == []
+        assert dlfm.db.txns.active == []
+    assert system.host.db.table_rows("dlk_indoubt") == []
+    assert system.host.metrics.prepare_failures == 1
 
 
 def test_decision_session_is_reused_across_sync_commits():

@@ -1,12 +1,13 @@
-"""Scatter-gather fan-out primitives (the parallel 2PC transport)."""
+"""``gather_all``: the one bounded fan-out behind every 2PC coordinator
+path, over ``rpc.call``/``rpc.cast`` generators."""
 
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
-from repro.errors import CrashedError, ReproError
+from repro.errors import CrashedError, ReproError, SimError
+from repro.host import HostConfig
 from repro.kernel import Channel, Simulator, Timeout
-from repro.kernel.rpc import (gather_all, scatter, scatter_cast, serve_loop,
-                              wait_reply)
+from repro.kernel.rpc import call, cast, gather_all, serve_loop, wait_reply
 
 
 def echo_server(sim, delay=0.0, name="server"):
@@ -41,13 +42,19 @@ def test_gather_all_runs_generators_concurrently():
     assert now == 5.0                # 4 workers overlapped, not 20s
 
 
+def calls(sim, pairs):
+    """One ``rpc.call`` generator per ``(channel, payload)`` pair."""
+    return [call(sim, chan, payload) for chan, payload in pairs]
+
+
 def test_scatter_overlaps_rpcs():
     sim = Simulator()
     chans = [echo_server(sim, delay=2.0, name=f"s{i}") for i in range(3)]
 
     def root():
-        replies = yield from scatter(
-            sim, [(chan, f"req{i}") for i, chan in enumerate(chans)])
+        replies = yield from gather_all(
+            sim, calls(sim, [(chan, f"req{i}")
+                             for i, chan in enumerate(chans)]))
         return replies, sim.now
 
     replies, now = sim.run_process(root())
@@ -64,9 +71,10 @@ def test_scatter_first_error_raised_after_full_drain():
 
     def root():
         with pytest.raises(ReproError, match="vote-no"):
-            yield from scatter(sim, [(slow_ok, "a"),
-                                     (fast_fail, ReproError("vote-no")),
-                                     (slow_ok, "c")])
+            yield from gather_all(
+                sim, calls(sim, [(slow_ok, "a"),
+                                 (fast_fail, ReproError("vote-no")),
+                                 (slow_ok, "c")]))
         return sim.now
 
     # slow_ok serves its two requests back to back: 6s + 6s.
@@ -80,8 +88,8 @@ def test_scatter_return_exceptions_reports_which_failed():
     bad = echo_server(sim, name="bad")
 
     def root():
-        replies = yield from scatter(
-            sim, [(good, "ok"), (bad, ReproError("boom"))],
+        replies = yield from gather_all(
+            sim, calls(sim, [(good, "ok"), (bad, ReproError("boom"))]),
             return_exceptions=True)
         return replies
 
@@ -91,15 +99,15 @@ def test_scatter_return_exceptions_reports_which_failed():
     assert sim.consume_failures() == []
 
 
-def test_scatter_cast_returns_after_sends_not_replies():
+def test_cast_fan_out_returns_after_sends_not_replies():
     """The E6 fan-out: control returns once every agent has RECEIVED its
     request; the replies are still outstanding."""
     sim = Simulator()
     chans = [echo_server(sim, delay=3.0, name=f"s{i}") for i in range(2)]
 
     def root():
-        replies = yield from scatter_cast(
-            sim, [(chan, f"r{i}") for i, chan in enumerate(chans)])
+        replies = yield from gather_all(
+            sim, [cast(sim, chan, f"r{i}") for i, chan in enumerate(chans)])
         sent_at = sim.now
         results = []
         for reply in replies:
@@ -141,8 +149,8 @@ def test_delay_fault_stalls_the_gather_window():
     chans = [echo_server(sim, delay=2.0, name=f"s{i}") for i in range(2)]
 
     def root():
-        replies = yield from scatter(
-            sim, [(chan, i) for i, chan in enumerate(chans)],
+        replies = yield from gather_all(
+            sim, calls(sim, [(chan, i) for i, chan in enumerate(chans)]),
             fault_point="fan.test")
         return replies, sim.now
 
@@ -153,7 +161,7 @@ def test_delay_fault_stalls_the_gather_window():
 
 def test_crash_fault_in_window_drains_outstanding_replies():
     """The coordinator dies between scatter and gather: the error
-    surfaces immediately and detached absorbers consume the replies the
+    surfaces immediately and the workers consume the replies the
     gatherer will never collect."""
     plan = FaultPlan([FaultRule("fan.test", "crash", prob=1.0,
                                 max_fires=1)], name="t")
@@ -162,11 +170,94 @@ def test_crash_fault_in_window_drains_outstanding_replies():
 
     def root():
         with pytest.raises(CrashedError):
-            yield from scatter(sim, [(chan, i) for i, chan in
-                                     enumerate(chans)],
-                               fault_point="fan.test", fault_node="host-db")
+            yield from gather_all(
+                sim, calls(sim, [(chan, i) for i, chan in enumerate(chans)]),
+                fault_point="fan.test", fault_node="host-db")
         return sim.now
 
     assert sim.run_process(root()) == 0.0  # crash beat every reply
-    sim.run()  # let the in-flight requests and absorbers finish
+    sim.run()  # let the workers finish the in-flight requests
     assert sim.consume_failures() == []
+
+
+def test_bounded_workers_share_the_generators_in_order():
+    """Two workers over four 5 s generators: two rounds, 10 s, and the
+    results still come back in ``gens`` order, not finish order."""
+    sim = Simulator()
+    started = []
+
+    def worker(i, delay):
+        started.append((i, sim.now))
+        yield Timeout(delay)
+        return i
+
+    def root():
+        results = yield from gather_all(
+            sim, [worker(i, 5.0) for i in range(4)], workers=2)
+        return results, sim.now
+
+    results, now = sim.run_process(root())
+    assert results == [0, 1, 2, 3]
+    assert now == 10.0
+    assert started == [(0, 0.0), (1, 0.0), (2, 5.0), (3, 5.0)]
+
+
+def test_one_worker_is_the_serial_coordinator():
+    """``workers=1`` runs the RPCs back to back; a failure is captured in
+    place and the next item still runs."""
+    sim = Simulator()
+    chans = [echo_server(sim, delay=2.0, name=f"s{i}") for i in range(3)]
+
+    def root():
+        replies = yield from gather_all(
+            sim, calls(sim, [(chans[0], "a"), (chans[1], ReproError("no")),
+                             (chans[2], "c")]),
+            workers=1, return_exceptions=True)
+        return replies, sim.now
+
+    replies, now = sim.run_process(root())
+    assert replies[0] == "a" and replies[2] == "c"
+    assert isinstance(replies[1], ReproError)
+    assert now == 6.0  # three round-trips, one after another
+    assert sim.consume_failures() == []
+
+
+def test_crash_with_one_worker_starts_no_further_item():
+    """A dead coordinator sends nothing new: the one worker finishes the
+    item it holds and stops; the other two requests are never sent."""
+    plan = FaultPlan([FaultRule("fan.test", "crash", prob=1.0,
+                                max_fires=1)], name="t")
+    sim = Simulator(injector=FaultInjector(plan))
+    served = []
+
+    def dispatch(payload):
+        served.append(payload)
+        yield Timeout(1.0)
+        return payload
+
+    chan = Channel(sim)
+    sim.spawn(serve_loop(chan, dispatch), "server")
+
+    def root():
+        with pytest.raises(CrashedError):
+            yield from gather_all(
+                sim, calls(sim, [(chan, i) for i in range(3)]), workers=1,
+                fault_point="fan.test", fault_node="host-db")
+
+    sim.run_process(root())
+    sim.run()
+    assert served == [0]
+    assert sim.consume_failures() == []
+
+
+def test_worker_count_must_be_positive():
+    sim = Simulator()
+
+    def root():
+        yield from gather_all(sim, [], workers=0)
+
+    with pytest.raises(SimError):
+        sim.run_process(root())
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            HostConfig(fanout_workers=bad)

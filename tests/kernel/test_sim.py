@@ -293,22 +293,6 @@ def test_stream_is_cached_per_name():
     assert sim.stream("x") is sim.stream("x")
 
 
-def test_gather_runs_children_concurrently():
-    sim = Simulator()
-
-    def child(delay, value):
-        yield Timeout(delay)
-        return value
-
-    def parent():
-        results = yield from sim.gather([child(3, "a"), child(1, "b")])
-        return results, sim.now
-
-    results, now = sim.run_process(parent())
-    assert results == ["a", "b"]
-    assert now == 3.0  # concurrent, not 4.0
-
-
 def test_run_to_completion_helper():
     def root(sim):
         yield Timeout(1.0)

@@ -253,3 +253,58 @@ def test_active_floor_pins_log_across_other_commits():
         return raised
 
     assert sim.run_process(work()) is True
+
+
+def test_evicted_dirty_page_forces_the_log_first():
+    """WAL before data: a two-page pool evicts the page an open
+    transaction dirtied; the eviction must force the log up to the
+    page's LSN, so restart finds the loser's records and undoes them
+    instead of reading the uncommitted value back off the disk."""
+    sim = Simulator()
+    db = make_db(sim, buffer_pool_pages=2)
+
+    def load():
+        session = db.session()
+        for k in range(200):
+            yield from insert(db, session, k, f"v{k}")
+        yield from session.commit()
+
+    def dirty_then_scan():
+        session = db.session()
+        yield from session.execute("UPDATE t SET v = 'dirty' WHERE k = 0")
+        yield from session.execute("SELECT k, v FROM t")  # evicts page 0
+
+    sim.run_process(load())
+    forces = db.wal.metrics.forces
+    sim.run_process(dirty_then_scan())
+    evicted_forces = db.wal.metrics.forces - forces
+    db.crash()
+    db.restart()
+    rows = all_rows(db)
+    assert rows[0] == (0, "v0")
+    assert len(rows) == 200
+    assert evicted_forces == 1  # one force, before the first eviction
+
+
+def test_checkpoint_forces_the_log_past_every_dirty_page():
+    """The checkpoint writes every dirty page: one force up to the
+    largest page LSN precedes the writes."""
+    sim = Simulator()
+    db = make_db(sim)
+
+    def dirty():
+        session = db.session()
+        yield from insert(db, session, 1, "in-flight")
+
+    sim.run_process(dirty())
+    page_lsns = [db.heaps["t"].page_lsn(0)]
+    flushed = []
+    write_page = db.disk.write_page
+
+    def spy(table, page):
+        flushed.append(db.wal.flushed_upto)
+        write_page(table, page)
+
+    db.disk.write_page = spy
+    db.checkpoint()
+    assert flushed and min(flushed) >= max(page_lsns)
